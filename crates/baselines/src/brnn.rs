@@ -28,7 +28,7 @@ use mcfs::assign::optimal_assignment_with;
 use mcfs::components::{capacity_suffices, cover_components};
 use mcfs::greedy_add::select_greedy;
 use mcfs::parallel::resolve_oracle;
-use mcfs::stats::SolveStats;
+use mcfs::stats::{DistanceSide, SolveStats};
 use mcfs::{McfsInstance, Solution, SolveError, Solver};
 use mcfs_graph::{
     dijkstra_all, dijkstra_bounded, multi_source_dijkstra, BackendKind, Dist, DistanceOracle,
@@ -85,6 +85,9 @@ impl BrnnBaseline {
 
         let oracle = resolve_oracle(self.threads, self.oracle.as_ref(), self.backend);
         let mut stats = SolveStats::for_threads(oracle.as_ref().map_or(1, |o| o.threads()));
+        if oracle.is_some() {
+            stats.distance_side = DistanceSide::CustomerRows;
+        }
         // Per-run attribution: count only this call stack's queries, even if
         // the oracle is shared with other concurrently running solvers.
         let oracle_run = oracle.as_ref().map(|o| o.begin_run());

@@ -13,7 +13,7 @@ use mcfs_graph::{DistanceOracle, NodeId};
 use rustc_hash::FxHashMap;
 
 use crate::instance::McfsInstance;
-use crate::streams::{CustomerStream, FacilityMap, NetworkStream};
+use crate::streams::{CustomerStream, Distances, FacilityMap, NetworkStream};
 use crate::SolveError;
 
 /// Map node → positions-within-`selection` for the selected facilities.
@@ -52,7 +52,8 @@ pub fn optimal_assignment_with(
     selection: &[u32],
     oracle: Option<&DistanceOracle>,
 ) -> Result<(Vec<u32>, u64), SolveError> {
-    let (mut matcher, _) = assignment_matcher(inst, selection, oracle);
+    let distances = oracle.map_or(Distances::Lazy, Distances::CustomerRows);
+    let (mut matcher, _) = assignment_matcher(inst, selection, distances);
     complete_assignment(&mut matcher, inst.num_customers())
 }
 
@@ -63,7 +64,7 @@ pub fn optimal_assignment_with(
 pub(crate) fn assignment_matcher<'g>(
     inst: &McfsInstance<'g>,
     selection: &[u32],
-    oracle: Option<&DistanceOracle>,
+    distances: Distances<'_>,
 ) -> (Matcher<CustomerStream<'g>>, FacilityMap) {
     let caps: Vec<u32> = selection
         .iter()
@@ -71,7 +72,7 @@ pub(crate) fn assignment_matcher<'g>(
         .collect();
     let map = selection_map(inst, selection);
     let streams =
-        CustomerStream::for_customers(inst.graph(), inst.customers(), Rc::clone(&map), oracle);
+        CustomerStream::for_customers(inst.graph(), inst.customers(), Rc::clone(&map), distances);
     (Matcher::new(streams, caps), map)
 }
 

@@ -1,6 +1,8 @@
 //! Problem instances and solutions for Multicapacity Facility Selection.
 
-use mcfs_graph::{connected_components, dijkstra_all, ComponentInfo, Graph, NodeId, INF};
+use mcfs_graph::{
+    connected_components, dijkstra_all, dijkstra_to_targets, ComponentInfo, Graph, NodeId, INF,
+};
 use rustc_hash::FxHashMap;
 
 /// A candidate facility: a network node plus its capacity `c_j`.
@@ -190,6 +192,9 @@ impl<'g> McfsInstance<'g> {
     /// solvable iff every connected component can be granted enough facility
     /// capacity for its own customers and the per-component minimum facility
     /// counts sum to at most `k`.
+    ///
+    /// The components follow out-arcs only, so this assumes a symmetric
+    /// graph ([`Graph::is_symmetric`]), like the paper's road networks.
     ///
     /// Returns the per-component minimum counts on success.
     pub fn check_feasibility(&self) -> Result<FeasibilityReport, Infeasibility> {
@@ -407,9 +412,10 @@ impl Solution {
 
 impl McfsInstance<'_> {
     /// Verify a solution end-to-end: selection size, index sanity, capacity
-    /// constraints, reachability, and the reported objective (recomputed
-    /// from scratch with one Dijkstra per selected facility; assumes the
-    /// symmetric distances of the paper's undirected road networks).
+    /// constraints, reachability, and the reported objective, recomputed
+    /// from scratch as the customer→facility distance sum. On a symmetric
+    /// graph ([`Graph::is_symmetric`]) that takes one Dijkstra per selected
+    /// facility; otherwise one target-bounded search per customer.
     pub fn verify(&self, sol: &Solution) -> Result<(), VerifyError> {
         if sol.facilities.len() > self.k {
             return Err(VerifyError::TooManyFacilities {
@@ -449,21 +455,35 @@ impl McfsInstance<'_> {
                 });
             }
         }
-        // Recompute the objective with one Dijkstra per selected facility.
+        let unreachable = |i: usize| VerifyError::Unreachable {
+            customer: i,
+            facility: sol.facilities[sol.assignment[i] as usize],
+        };
         let mut actual = 0u64;
-        for (fi, &j) in sol.facilities.iter().enumerate() {
-            let dist = dijkstra_all(self.graph, self.facilities[j as usize].node);
-            for (i, &a) in sol.assignment.iter().enumerate() {
-                if a as usize == fi {
-                    let d = dist[self.customers[i] as usize];
-                    if d == INF {
-                        return Err(VerifyError::Unreachable {
-                            customer: i,
-                            facility: j,
-                        });
+        if self.graph.is_symmetric() {
+            // One Dijkstra per selected facility answers all its customers.
+            for (fi, &j) in sol.facilities.iter().enumerate() {
+                let dist = dijkstra_all(self.graph, self.facilities[j as usize].node);
+                for (i, &a) in sol.assignment.iter().enumerate() {
+                    if a as usize == fi {
+                        let d = dist[self.customers[i] as usize];
+                        if d == INF {
+                            return Err(unreachable(i));
+                        }
+                        actual += d;
                     }
-                    actual += d;
                 }
+            }
+        } else {
+            // Distances are one-way: search from each customer.
+            for (i, &a) in sol.assignment.iter().enumerate() {
+                let j = sol.facilities[a as usize];
+                let target = self.facilities[j as usize].node;
+                let d = dijkstra_to_targets(self.graph, self.customers[i], &[target])[0];
+                if d == INF {
+                    return Err(unreachable(i));
+                }
+                actual += d;
             }
         }
         if actual != sol.objective {
@@ -697,6 +717,37 @@ mod tests {
         // The routes' lengths sum to the objective.
         let total: u64 = routes.iter().map(|r| r.as_ref().unwrap().1).sum();
         assert_eq!(total, sol.objective);
+    }
+
+    #[test]
+    fn verify_measures_customer_to_facility_on_one_way_graphs() {
+        // 0→1 costs 1 but 1→0 costs 50; 1–2 is a plain edge of 5.
+        let mut b = GraphBuilder::new(3);
+        b.add_arc(0, 1, 1);
+        b.add_arc(1, 0, 50);
+        b.add_edge(1, 2, 5);
+        let g = b.build();
+        assert!(!g.is_symmetric());
+        let inst = McfsInstance::builder(&g)
+            .customers([0, 2])
+            .facility(1, 2)
+            .k(1)
+            .build()
+            .unwrap();
+        let mut sol = Solution {
+            facilities: vec![0],
+            assignment: vec![0, 0],
+            objective: 6,
+        };
+        inst.verify(&sol).unwrap();
+        sol.objective = 55;
+        assert_eq!(
+            inst.verify(&sol),
+            Err(VerifyError::ObjectiveMismatch {
+                reported: 55,
+                actual: 6
+            })
+        );
     }
 
     #[test]

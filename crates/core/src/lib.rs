@@ -62,9 +62,9 @@ pub use instance::{
     Facility, FeasibilityReport, Infeasibility, InstanceError, McfsInstance, Solution, VerifyError,
 };
 pub use naive::WmaNaive;
-pub use parallel::{effective_threads, resolve_oracle};
+pub use parallel::{effective_threads, resolve_oracle, resolve_substrate};
 pub use resolve::{Edit, EditError, ReSolveRun, ReSolver};
-pub use stats::SolveStats;
+pub use stats::{DistanceSide, SolveStats};
 pub use uniform_first::UniformFirst;
 pub use wma::{DemandPolicy, TieBreak, Wma, WmaRun};
 

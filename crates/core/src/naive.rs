@@ -25,7 +25,7 @@ use crate::components::{capacity_suffices, cover_components};
 use crate::cover::check_cover;
 use crate::greedy_add::select_greedy;
 use crate::instance::{McfsInstance, Solution};
-use crate::parallel::resolve_oracle;
+use crate::parallel::resolve_substrate;
 use crate::streams::CustomerStream;
 use crate::{SolveError, Solver};
 
@@ -37,8 +37,8 @@ pub struct WmaNaive {
     pub seed: u64,
     /// Hard cap on main-loop iterations (`None` = the natural `m · ℓ`).
     pub max_iterations: Option<usize>,
-    /// Distance-substrate worker threads (`0` = auto, `1` = legacy lazy
-    /// path); see [`crate::parallel`].
+    /// Distance-substrate worker threads (`0` = auto, `1` = one worker);
+    /// see [`crate::parallel`] for when that is the legacy lazy path.
     pub threads: usize,
     /// Explicitly shared distance oracle.
     pub oracle: Option<Arc<DistanceOracle>>,
@@ -92,8 +92,8 @@ impl WmaNaive {
         }
     }
 
-    /// Set the distance-substrate worker count (`0` = auto, `1` = legacy
-    /// sequential path).
+    /// Set the distance-substrate worker count (`0` = auto, `1` = one
+    /// worker; see [`crate::parallel`]).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -123,13 +123,13 @@ impl Solver for WmaNaive {
         let caps = inst.capacities();
         let mut rng = StdRng::seed_from_u64(self.seed);
 
-        let oracle = resolve_oracle(self.threads, self.oracle.as_ref(), self.backend);
+        let substrate = resolve_substrate(inst, self.threads, self.oracle.as_ref(), self.backend);
         let fac_map = std::rc::Rc::new(inst.facilities_by_node());
         let mut caches: Vec<FacilityCache> = CustomerStream::for_customers(
             inst.graph(),
             inst.customers(),
             fac_map,
-            oracle.as_deref(),
+            substrate.distances(),
         )
         .into_iter()
         .map(|stream| FacilityCache {

@@ -103,7 +103,7 @@ fn publish_phase(name: &'static str, state: mcfs_obs::PhaseState) {
     }
 }
 
-use crate::streams::{CustomerStream, FacilityMap};
+use crate::streams::{CustomerStream, Distances, FacilityMap};
 use crate::wma::Wma;
 use crate::SolveError;
 
@@ -335,8 +335,7 @@ impl<'g> ReSolver<'g> {
         solution: &Solution,
     ) -> Result<Self, SolveError> {
         let mut rs = Self::new(inst, wma);
-        let (mut matcher, fac_map) =
-            assignment_matcher(inst, &solution.facilities, Some(&rs.oracle));
+        let (mut matcher, fac_map) = assignment_matcher(inst, &solution.facilities, rs.distances());
         complete_assignment(&mut matcher, inst.num_customers())?;
         let sel_ids = solution
             .facilities
@@ -356,6 +355,13 @@ impl<'g> ReSolver<'g> {
             slots,
         });
         Ok(rs)
+    }
+
+    /// The resolver's distance source: always customer rows, because the
+    /// oracle is a customer-row cache callers read back through
+    /// [`oracle`](Self::oracle).
+    fn distances(&self) -> Distances<'_> {
+        Distances::CustomerRows(&self.oracle)
     }
 
     /// The shared distance oracle (pass clones to other solvers to share
@@ -493,6 +499,7 @@ impl<'g> ReSolver<'g> {
         let inst = self.instance();
         let feas = inst.check_feasibility().map_err(SolveError::Infeasible)?;
         let mut solve_stats = SolveStats::for_threads(self.oracle.threads());
+        solve_stats.distance_side = self.distances().side();
         // Per-run attribution: the oracle may be shared (e.g. several
         // sessions over one graph), so count only this call stack's queries
         // rather than diffing the global counters.
@@ -503,7 +510,7 @@ impl<'g> ReSolver<'g> {
         publish_phase("resolve.selection", mcfs_obs::PhaseState::Start);
         let (selection, _trace) =
             self.wma
-                .select_facilities(&inst, Some(&self.oracle), &feas, &mut solve_stats)?;
+                .select_facilities(&inst, self.distances(), &feas, &mut solve_stats)?;
         publish_phase("resolve.selection", mcfs_obs::PhaseState::End);
         drop(selection_span);
         let sel_ids: Vec<u64> = selection
@@ -520,7 +527,7 @@ impl<'g> ReSolver<'g> {
             Some((facilities, assignment, objective)) => (facilities, assignment, objective, true),
             None => {
                 let (mut matcher, fac_map) =
-                    assignment_matcher(&inst, &selection, Some(&self.oracle));
+                    assignment_matcher(&inst, &selection, self.distances());
                 let (assignment, objective) =
                     complete_assignment(&mut matcher, inst.num_customers())?;
                 solve_stats.augmentations += matcher.augmentations();
@@ -643,7 +650,7 @@ impl<'g> ReSolver<'g> {
                 self.graph,
                 &self.customers[i..=i],
                 Rc::clone(&st.fac_map),
-                Some(&self.oracle),
+                Distances::CustomerRows(&self.oracle),
             )
             .pop()
             .expect("one stream per customer");

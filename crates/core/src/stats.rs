@@ -62,17 +62,32 @@ pub struct PhaseTime {
     pub wall: Duration,
 }
 
+/// Which side a run's distance rows were rooted on (see
+/// [`Distances`](crate::streams::Distances)).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum DistanceSide {
+    /// No rows: one lazy search per customer.
+    #[default]
+    Lazy,
+    /// One row per distinct customer node.
+    CustomerRows,
+    /// One row per distinct facility node (symmetric graphs only).
+    FacilityRows,
+}
+
 /// Whole-run instrumentation of the distance substrate: per-phase wall
 /// times plus the oracle's row-cache hit/miss counts attributable to the
 /// run. Always collected (it is a handful of `Instant` reads), unlike the
 /// per-iteration [`RunStats`] trace which is opt-in.
 ///
-/// `threads == 1` means the run used the legacy lazy-Dijkstra path, in
-/// which case the cache counters stay zero.
+/// On the lazy side ([`DistanceSide::Lazy`]) the cache counters stay zero.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Worker threads the distance substrate used for this run.
     pub threads: usize,
+    /// The side the run's distance rows were rooted on. Not part of
+    /// [`to_kv_lines`](Self::to_kv_lines).
+    pub distance_side: DistanceSide,
     /// Ordered phase timings; phase names are solver-specific.
     pub phases: Vec<PhaseTime>,
     /// Distance-oracle row-cache hits during this run.

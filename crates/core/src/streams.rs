@@ -7,13 +7,25 @@
 //! in `G_b`", with the per-customer searches persisting across `FindPair`
 //! calls. [`NetworkStream`] is that persistent search, shaped as the
 //! [`EdgeStream`] the incremental matcher consumes.
+//!
+//! The same order can come from the other side. On a symmetric graph
+//! (every arc has a reverse arc of equal weight, [`Graph::is_symmetric`])
+//! `d(c, v) = d(v, c)`, so one row rooted at each facility node `v` holds
+//! every customer's distance to `v`. A customer's stream is then its ℓ
+//! lookups `(row_v[c], v)` sorted by `(distance, node)` — the order the
+//! lazy search settles nodes in (see [`OracleStream`]) — which is why
+//! [`Distances::FacilityRows`] yields the same solutions as the paper's
+//! per-customer searches while running ℓ searches instead of m.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use mcfs_flow::EdgeStream;
 use mcfs_graph::{Dist, DistanceOracle, Graph, LazyDijkstra, NodeId, INF};
 use rustc_hash::FxHashMap;
+
+use crate::stats::DistanceSide;
 
 /// Shared lookup from network node to the candidate-facility indices located
 /// there (several facilities may share a node).
@@ -100,13 +112,35 @@ impl OracleStream {
     /// Unreachable facilities (`INF` row entries) are omitted, matching the
     /// lazy stream's behavior of never settling them.
     pub fn from_row(row: &[Dist], facilities_at: &FxHashMap<NodeId, Vec<u32>>) -> Self {
-        let mut nodes: Vec<(Dist, NodeId)> = facilities_at
-            .keys()
-            .filter_map(|&v| {
-                let d = row[v as usize];
-                (d != INF).then_some((d, v))
-            })
-            .collect();
+        Self::from_node_distances(
+            facilities_at.keys().map(|&v| (row[v as usize], v)),
+            facilities_at,
+        )
+    }
+
+    /// Stream for a customer at `customer` from rows rooted at the facility
+    /// nodes (`(v, row_v)` pairs covering every key of `facilities_at`).
+    /// Only valid on a symmetric graph, where `row_v[customer]` is the
+    /// customer's distance to `v`.
+    pub fn from_facility_rows(
+        customer: NodeId,
+        rows: &[(NodeId, Arc<Vec<Dist>>)],
+        facilities_at: &FxHashMap<NodeId, Vec<u32>>,
+    ) -> Self {
+        Self::from_node_distances(
+            rows.iter().map(|(v, row)| (row[customer as usize], *v)),
+            facilities_at,
+        )
+    }
+
+    /// The shared core of both sides: drop unreachable facility nodes, sort
+    /// the rest by `(distance, node id)` and expand each node's facilities
+    /// in map order.
+    fn from_node_distances(
+        nodes: impl Iterator<Item = (Dist, NodeId)>,
+        facilities_at: &FxHashMap<NodeId, Vec<u32>>,
+    ) -> Self {
+        let mut nodes: Vec<(Dist, NodeId)> = nodes.filter(|&(d, _)| d != INF).collect();
         nodes.sort_unstable();
         let mut edges = Vec::new();
         for (d, v) in nodes {
@@ -126,11 +160,35 @@ impl EdgeStream for OracleStream {
     }
 }
 
+/// Where a solver run gets its customer→facility distances from.
+#[derive(Clone, Copy, Debug)]
+pub enum Distances<'o> {
+    /// One resumable lazy search per customer (the paper's Sec. IV-D).
+    Lazy,
+    /// One oracle row rooted at each customer node.
+    CustomerRows(&'o DistanceOracle),
+    /// One oracle row rooted at each facility node. Only valid on a
+    /// symmetric graph ([`Graph::is_symmetric`]).
+    FacilityRows(&'o DistanceOracle),
+}
+
+impl Distances<'_> {
+    /// The side, without the oracle, as [`SolveStats`](crate::SolveStats)
+    /// records it.
+    pub fn side(self) -> DistanceSide {
+        match self {
+            Distances::Lazy => DistanceSide::Lazy,
+            Distances::CustomerRows(_) => DistanceSide::CustomerRows,
+            Distances::FacilityRows(_) => DistanceSide::FacilityRows,
+        }
+    }
+}
+
 /// The stream type the solvers actually instantiate: lazy per-customer
-/// search (the legacy single-threaded substrate) or oracle-row-backed
-/// (cached, batch-parallel). Both variants emit the same sequence for the
-/// same customer — see [`OracleStream`] — so solver output never depends on
-/// which substrate is active.
+/// search (the legacy single-threaded substrate) or row-backed (cached,
+/// batch-parallel, rooted at customers or at facilities). Every variant
+/// emits the same sequence for the same customer — see [`OracleStream`] —
+/// so solver output never depends on which substrate is active.
 pub enum CustomerStream<'g> {
     /// Resumable per-customer Dijkstra (exact legacy behavior).
     Lazy(NetworkStream<'g>),
@@ -139,25 +197,44 @@ pub enum CustomerStream<'g> {
 }
 
 impl<'g> CustomerStream<'g> {
-    /// Build one stream per customer. With an oracle the customer rows are
-    /// fetched as one batched (possibly parallel) query; without, each
-    /// customer gets a lazy search.
+    /// Build one stream per customer. Customer rows are fetched as one
+    /// batched (possibly parallel) query; facility rows likewise, one per
+    /// distinct facility node; the lazy side gives each customer a search.
     pub fn for_customers(
         graph: &'g Graph,
         customers: &[NodeId],
         facilities_at: FacilityMap,
-        oracle: Option<&DistanceOracle>,
+        distances: Distances<'_>,
     ) -> Vec<Self> {
-        match oracle {
-            None => NetworkStream::for_customers(graph, customers, facilities_at)
+        match distances {
+            Distances::Lazy => NetworkStream::for_customers(graph, customers, facilities_at)
                 .into_iter()
                 .map(CustomerStream::Lazy)
                 .collect(),
-            Some(o) => {
-                let rows = o.distances_for_sources(graph, customers);
-                rows.iter()
-                    .map(|row| {
-                        CustomerStream::Precomputed(OracleStream::from_row(row, &facilities_at))
+            Distances::CustomerRows(o) => o
+                .distances_for_sources(graph, customers)
+                .iter()
+                .map(|row| CustomerStream::Precomputed(OracleStream::from_row(row, &facilities_at)))
+                .collect(),
+            Distances::FacilityRows(o) => {
+                debug_assert!(graph.is_symmetric(), "facility rows need a symmetric graph");
+                let mut nodes: Vec<NodeId> = facilities_at.keys().copied().collect();
+                nodes.sort_unstable();
+                let fill = mcfs_obs::span("wma.facility_rows");
+                let rows: Vec<(NodeId, Arc<Vec<Dist>>)> = nodes
+                    .iter()
+                    .copied()
+                    .zip(o.distances_for_sources(graph, &nodes))
+                    .collect();
+                drop(fill);
+                customers
+                    .iter()
+                    .map(|&c| {
+                        CustomerStream::Precomputed(OracleStream::from_facility_rows(
+                            c,
+                            &rows,
+                            &facilities_at,
+                        ))
                     })
                     .collect()
             }
@@ -245,19 +322,29 @@ mod tests {
         out
     }
 
-    #[test]
-    fn oracle_stream_replays_lazy_order_with_ties() {
-        // Diamond with distance ties: 0-1 and 0-2 both cost 3, 1-3 and
-        // 2-3 both cost 3 — nodes 1 and 2 tie at 3, node 3 at 6. Facility
-        // indices deliberately *decrease* with node id so (dist, facility)
-        // sorting would give a different order than (dist, node).
+    /// Diamond with distance ties: 0-1 and 0-2 both cost 3, 1-3 and 2-3
+    /// both cost 3 — from 0, nodes 1 and 2 tie at 3, node 3 at 6. Node 4
+    /// is isolated.
+    fn diamond() -> Graph {
         let mut b = GraphBuilder::new(5);
         b.add_edge(0, 1, 3);
         b.add_edge(0, 2, 3);
         b.add_edge(1, 3, 3);
         b.add_edge(2, 3, 3);
-        let g = b.build();
-        let fm = map(&[(1, &[5, 2]), (2, &[1]), (3, &[0, 4])]);
+        b.build()
+    }
+
+    /// Facility indices deliberately *decrease* with node id so
+    /// (dist, facility) sorting would give a different order than
+    /// (dist, node).
+    fn diamond_facilities() -> FacilityMap {
+        map(&[(1, &[5, 2]), (2, &[1]), (3, &[0, 4])])
+    }
+
+    #[test]
+    fn oracle_stream_replays_lazy_order_with_ties() {
+        let g = diamond();
+        let fm = diamond_facilities();
         for source in [0, 1, 3] {
             let lazy = drain(NetworkStream::new(&g, source, Rc::clone(&fm)));
             let row = mcfs_graph::dijkstra_all(&g, source);
@@ -267,21 +354,39 @@ mod tests {
     }
 
     #[test]
+    fn facility_rows_replay_lazy_order_with_ties() {
+        // The tie case above, answered from rows rooted at the facility
+        // nodes instead of at the customer.
+        let g = diamond();
+        let fm = diamond_facilities();
+        let rows: Vec<(NodeId, Arc<Vec<Dist>>)> = [1, 2, 3]
+            .into_iter()
+            .map(|v| (v, Arc::new(mcfs_graph::dijkstra_all(&g, v))))
+            .collect();
+        for source in [0, 1, 3, 4] {
+            let lazy = drain(NetworkStream::new(&g, source, Rc::clone(&fm)));
+            let facility_side = drain(OracleStream::from_facility_rows(source, &rows, &fm));
+            assert_eq!(lazy, facility_side, "source {source}");
+        }
+    }
+
+    #[test]
     fn customer_stream_variants_agree() {
         let g = line(6);
         let fm = map(&[(1, &[0]), (4, &[1]), (5, &[2])]);
         let customers = [2, 0, 5];
         let oracle = mcfs_graph::DistanceOracle::new().with_threads(2);
-        let lazy: Vec<_> = CustomerStream::for_customers(&g, &customers, Rc::clone(&fm), None)
-            .into_iter()
-            .map(drain)
-            .collect();
-        let pre: Vec<_> =
-            CustomerStream::for_customers(&g, &customers, Rc::clone(&fm), Some(&oracle))
+        let streams = |distances| -> Vec<_> {
+            CustomerStream::for_customers(&g, &customers, Rc::clone(&fm), distances)
                 .into_iter()
                 .map(drain)
-                .collect();
-        assert_eq!(lazy, pre);
-        assert_eq!(oracle.stats().misses, 3);
+                .collect()
+        };
+        let lazy = streams(Distances::Lazy);
+        assert_eq!(lazy, streams(Distances::CustomerRows(&oracle)));
+        assert_eq!(oracle.stats().misses, 3, "one row per customer");
+        let facility_side = mcfs_graph::DistanceOracle::new().with_threads(2);
+        assert_eq!(lazy, streams(Distances::FacilityRows(&facility_side)));
+        assert_eq!(facility_side.stats().misses, 3, "one row per facility node");
     }
 }

@@ -31,9 +31,9 @@ use crate::components::{capacity_suffices, cover_components};
 use crate::cover::check_cover;
 use crate::greedy_add::select_greedy;
 use crate::instance::{FeasibilityReport, McfsInstance, Solution};
-use crate::parallel::resolve_oracle;
+use crate::parallel::resolve_substrate;
 use crate::stats::{IterationStats, RunStats, SolveStats};
-use crate::streams::CustomerStream;
+use crate::streams::{CustomerStream, Distances};
 use crate::{SolveError, Solver};
 
 /// Process-wide count of WMA main-loop iterations (Prometheus exposition
@@ -95,9 +95,12 @@ pub struct Wma {
     /// Lazy-matching pruning rule (Section V ablation).
     pub pruning: PruningRule,
     /// Distance-substrate worker threads: `0` = auto (available
-    /// parallelism), `1` = the exact legacy lazy-Dijkstra path, `n > 1` =
-    /// oracle-backed with `n` workers. Thread count never changes the
-    /// solution, only wall time.
+    /// parallelism), `n > 1` = oracle-backed with `n` workers. `1` is the
+    /// exact legacy lazy-Dijkstra path on the customer side; when the run
+    /// roots its rows at the facilities (see
+    /// [`resolve_substrate`](crate::parallel::resolve_substrate)) it is a
+    /// one-thread oracle instead. Thread count never changes the solution,
+    /// only wall time.
     pub threads: usize,
     /// Explicitly shared [`DistanceOracle`]; overrides `threads` for the
     /// substrate choice and lets several solvers reuse one row cache.
@@ -133,8 +136,9 @@ impl Wma {
         self
     }
 
-    /// Set the distance-substrate worker count (`0` = auto, `1` = legacy
-    /// sequential path).
+    /// Set the distance-substrate worker count (`0` = auto, `1` = one
+    /// worker: the legacy sequential lazy path on the customer side, a
+    /// one-thread oracle when the run uses facility rows).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -158,20 +162,22 @@ impl Wma {
     pub fn run(&self, inst: &McfsInstance) -> Result<WmaRun, SolveError> {
         let _run_span = mcfs_obs::span("wma.run");
         let feas = inst.check_feasibility().map_err(SolveError::Infeasible)?;
-        let oracle = resolve_oracle(self.threads, self.oracle.as_ref(), self.backend);
-        let mut solve_stats = SolveStats::for_threads(oracle.as_ref().map_or(1, |o| o.threads()));
+        let substrate = resolve_substrate(inst, self.threads, self.oracle.as_ref(), self.backend);
+        let distances = substrate.distances();
+        let mut solve_stats = SolveStats::for_threads(substrate.threads());
+        solve_stats.distance_side = distances.side();
         // Per-run attribution: only queries issued from this call stack are
         // counted, even when the oracle (and its row cache) is shared with
         // other concurrently running solvers.
-        let oracle_run = oracle.as_ref().map(|o| o.begin_run());
+        let oracle_run = substrate.oracle().map(|o| o.begin_run());
 
         let (selection, stats) =
-            self.select_facilities(inst, oracle.as_deref(), &feas, &mut solve_stats)?;
+            self.select_facilities(inst, distances, &feas, &mut solve_stats)?;
 
         // --- Final optimal assignment onto F (lines 14–15). ---
         let t_assign = Instant::now();
         let assign_span = mcfs_obs::span("wma.assignment");
-        let (mut matcher, _) = assignment_matcher(inst, &selection, oracle.as_deref());
+        let (mut matcher, _) = assignment_matcher(inst, &selection, distances);
         let (assignment, objective) = complete_assignment(&mut matcher, inst.num_customers())?;
         drop(assign_span);
         solve_stats.augmentations += matcher.augmentations();
@@ -203,7 +209,7 @@ impl Wma {
     pub(crate) fn select_facilities(
         &self,
         inst: &McfsInstance,
-        oracle: Option<&DistanceOracle>,
+        distances: Distances<'_>,
         feas: &FeasibilityReport,
         solve_stats: &mut SolveStats,
     ) -> Result<(Vec<u32>, RunStats), SolveError> {
@@ -212,14 +218,15 @@ impl Wma {
         let k = inst.k();
 
         // Stream construction is the prefetch phase: with an oracle it pays
-        // for (or reuses) every customer's distance row in one batched
-        // parallel query; without, it is nearly free and the search cost is
-        // paid lazily inside the matching phase instead.
+        // for (or reuses) every customer's — or every facility node's —
+        // distance row in one batched parallel query; without, it is nearly
+        // free and the search cost is paid lazily inside the matching phase
+        // instead.
         let t_prefetch = Instant::now();
         let prefetch_span = mcfs_obs::span("wma.prefetch");
         let fac_map = Rc::new(inst.facilities_by_node());
         let streams =
-            CustomerStream::for_customers(inst.graph(), inst.customers(), fac_map, oracle);
+            CustomerStream::for_customers(inst.graph(), inst.customers(), fac_map, distances);
         let mut matcher = Matcher::with_pruning(streams, inst.capacities(), self.pruning);
         drop(prefetch_span);
         solve_stats.add_phase("prefetch", t_prefetch.elapsed());

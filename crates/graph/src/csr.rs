@@ -6,6 +6,8 @@
 //! canonical representation for that access pattern: adjacency of a node is a
 //! contiguous slice, no per-node allocation, cache-friendly scans.
 
+use std::sync::OnceLock;
+
 use crate::{Dist, Point};
 
 /// Node identifier. `u32` suffices for the paper's million-node networks and
@@ -55,6 +57,8 @@ pub struct Graph {
     /// caches keyed by the graph identity (the `DistanceOracle` row cache)
     /// can never serve one sub-graph's rows to another.
     id_salt: u64,
+    /// [`Graph::is_symmetric`], computed on first use.
+    symmetric: OnceLock<bool>,
 }
 
 impl Graph {
@@ -160,6 +164,34 @@ impl Graph {
     #[inline]
     pub fn id_salt(&self) -> u64 {
         self.id_salt
+    }
+
+    /// Whether every arc `u → v` of weight `w` has a reverse arc `v → u` of
+    /// the same weight, so that `d(u, v) = d(v, u)` for every node pair.
+    /// Graphs built only with [`GraphBuilder::add_edge`] are symmetric.
+    ///
+    /// Computed on the first call (one sort of each node's adjacency, then
+    /// a binary search per arc) and remembered, so building a graph never
+    /// pays for it.
+    pub fn is_symmetric(&self) -> bool {
+        *self.symmetric.get_or_init(|| {
+            // Arc indices, each node's sorted by (target, weight): 4 bytes
+            // per arc rather than a sorted copy of the arcs themselves.
+            let arc = |i: &u32| (self.targets[*i as usize], self.weights[*i as usize]);
+            let span = |v: NodeId| {
+                self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
+            };
+            let mut sorted: Vec<u32> = (0..self.num_arcs() as u32).collect();
+            for v in self.nodes() {
+                sorted[span(v)].sort_unstable_by_key(arc);
+            }
+            self.nodes().all(|u| {
+                sorted[span(u)].iter().all(|i| {
+                    let (v, w) = arc(i);
+                    sorted[span(v)].binary_search_by_key(&(u, w), arc).is_ok()
+                })
+            })
+        })
     }
 }
 
@@ -279,6 +311,7 @@ impl GraphBuilder {
             coords: self.coords,
             structural_hash,
             id_salt: self.id_salt,
+            symmetric: OnceLock::new(),
         }
     }
 }
@@ -417,6 +450,31 @@ mod tests {
             .collect();
         let via_iter: Vec<_> = g.neighbors(0).collect();
         assert_eq!(via_slices, via_iter);
+    }
+
+    #[test]
+    fn symmetry_needs_a_reverse_arc_of_equal_weight() {
+        assert!(diamond().is_symmetric());
+        assert!(GraphBuilder::new(0).build().is_symmetric());
+        // A one-way arc, a reverse of another weight, and a parallel arc
+        // without a matching reverse all break symmetry.
+        let one_way = |arcs: &[(NodeId, NodeId, Dist)]| {
+            let mut b = GraphBuilder::new(3);
+            b.add_edge(1, 2, 5);
+            for &(u, v, w) in arcs {
+                b.add_arc(u, v, w);
+            }
+            b.build().is_symmetric()
+        };
+        assert!(!one_way(&[(0, 1, 1)]));
+        assert!(!one_way(&[(0, 1, 1), (1, 0, 50)]));
+        assert!(!one_way(&[(1, 2, 7)]));
+        // Matching arcs added one at a time (in any order) are symmetric.
+        assert!(one_way(&[(0, 1, 4), (2, 1, 7), (1, 0, 4), (1, 2, 7)]));
+        // Clones carry (or recompute) the same answer.
+        let g = diamond();
+        assert!(g.is_symmetric());
+        assert!(g.clone().is_symmetric());
     }
 
     #[test]

@@ -461,6 +461,24 @@ pub fn splice_remote(
             bounds.insert(s.id, (s.start_ns, s.start_ns + s.dur_ns));
         }
     }
+    // A peer in this same process shares the span ring, so `remote` repeats
+    // spans that are already in `local`. Clamp those originals into their
+    // local parents as well: the peer closes its `server.reply` after the
+    // reply is written, which can be just after the caller closed the RPC
+    // span that waited for it.
+    local.sort_by_key(|s| (s.start_ns, s.id));
+    let mut local_bounds: HashMap<u64, (u64, u64)> = HashMap::new();
+    for s in local.iter_mut() {
+        if remap.contains_key(&s.id) {
+            if let Some(&(ps, pe)) = local_bounds.get(&s.parent) {
+                let start = s.start_ns.clamp(ps, pe);
+                let end = (s.start_ns + s.dur_ns).clamp(start, pe);
+                s.start_ns = start;
+                s.dur_ns = end - start;
+            }
+        }
+        local_bounds.insert(s.id, (s.start_ns, s.start_ns + s.dur_ns));
+    }
     let n = spliced.len();
     local.append(&mut spliced);
     local.sort_by_key(|s| (s.start_ns, s.id));
@@ -698,6 +716,34 @@ mod tests {
         // Rebased peer spans stay monotone relative to each other.
         let solve = peer_spans.iter().find(|s| s.name == "peer.solve").unwrap();
         assert!(solve.start_ns >= peer_root.start_ns);
+    }
+
+    #[test]
+    fn splice_remote_clamps_spans_shared_with_an_in_process_peer() {
+        let mk = |id, parent, start, dur, name: &'static str| SpanRecord {
+            trace: 5,
+            id,
+            parent,
+            thread: 2,
+            start_ns: start,
+            dur_ns: dur,
+            name: Cow::Borrowed(name),
+        };
+        let (rpc, request, reply) = (alloc_span_id(), alloc_span_id(), alloc_span_id());
+        // The peer's request and reply close after the caller's rpc span;
+        // sharing the ring, they are both local and remote.
+        let peer = vec![
+            mk(request, rpc, 150, 400, "server.request"),
+            mk(reply, request, 500, 50, "server.reply"),
+        ];
+        let mut local = vec![mk(rpc, 0, 100, 420, "cluster.rpc")];
+        local.extend(peer.iter().cloned());
+        assert!(verify_nesting(&local).is_err());
+        splice_remote(&mut local, 5, &peer, 0, 1);
+        assert_eq!(local.len(), 5);
+        verify_nesting(&local).expect("both copies nest under the rpc span");
+        let original = local.iter().find(|s| s.id == request).unwrap();
+        assert_eq!((original.start_ns, original.dur_ns), (150, 370));
     }
 
     #[test]
